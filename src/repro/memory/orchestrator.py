@@ -332,7 +332,10 @@ class MemoryOrchestrator:
         self.sim.schedule(duration, self._finish_scale, account, op, duration)
 
     def _finish_scale(self, account: _InstanceAccount, op: MemoryOp, duration: float) -> None:
-        account.instance.kv.finish_scale()
+        # A parked scale-up retargeted to the current allocation executes
+        # as a zero-delta no-op: begin_scale put nothing in flight.
+        if account.instance.kv.scaling:
+            account.instance.kv.finish_scale()
         op.state = OpState.DONE
         op.finished_at = self.sim.now
         account.active_op = None

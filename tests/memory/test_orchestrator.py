@@ -189,3 +189,31 @@ def test_op_metrics_emitted():
     kinds = {op.kind for op in ops}
     assert OpKind.LOAD in kinds
     assert OpKind.SCALE_UP in kinds
+
+
+def test_reserved_scale_retargeted_to_current_size_completes(env):
+    """A parked scale-up retargeted back to the current allocation runs
+    as a zero-delta no-op when the station drains."""
+    sim, node, listener, orch = env
+    a = make_instance(0)
+    b = make_instance(1)
+    # Block-aligned pools, so a retarget can land exactly on the allocation.
+    blocks = (node.memory_bytes - 2 * LLAMA2_7B.weight_bytes) // 2 // b.kv.block_bytes
+    kv_each = blocks * b.kv.block_bytes
+    orch.admit_instance(a, kv_each)
+    orch.admit_instance(b, kv_each)
+    sim.run()
+    current = b.kv.allocated_bytes
+    assert current == kv_each
+    assert orch.request_scale(a, 2 * GIB)
+    assert orch.request_scale(b, current + 4 * GIB)
+    op = orch._accounts[b.inst_id].active_op
+    assert op.state.value == "reserved"
+    assert orch.request_scale(b, current)  # retarget to the allocation
+    assert op.target_bytes == current
+    sim.run()  # a's scale-down completes and drains the station
+    assert op.state.value == "done"
+    assert b.kv.allocated_bytes == current
+    assert not b.kv.scaling
+    assert (b, op) in listener.scaled
+    orch.assert_no_oom()

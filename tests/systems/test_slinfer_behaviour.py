@@ -160,3 +160,23 @@ def test_no_oom_throughout_run():
     system.run(workload)
     for orchestrator in system._orchestrators.values():
         orchestrator.assert_no_oom()
+
+
+def test_retargeted_parked_scale_up_completes_end_to_end():
+    # This azure trace retargets a scale-up parked in the reservation
+    # station back to the instance's current KV allocation; draining the
+    # station used to crash with "no resize in flight".  The conservation
+    # audits (REPRO_AUDIT=1 in the suite) run at finalize.
+    from repro.runner import RunSpec, execute_spec
+
+    spec = RunSpec(
+        system="slinfer",
+        scenario="azure",
+        n_models=64,
+        cluster="cpu2-gpu2",
+        seed=14,
+        duration=240.0,
+    )
+    report = execute_spec(spec).report
+    assert report.scaling_ops > 0
+    assert report.completed_count > 0
